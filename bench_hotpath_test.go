@@ -24,7 +24,6 @@
 package nucanet
 
 import (
-	"fmt"
 	"testing"
 
 	"nucanet/internal/bank"
@@ -405,65 +404,6 @@ func BenchmarkRouterEngines(b *testing.B) {
 				}
 				b.ReportMetric(r.IPC, "IPC")
 				b.ReportMetric(float64(r.Cycles)/float64(routerEngineBenchAccesses), "cycles/access")
-			})
-		}
-	}
-}
-
-// bigMeshDesign is the 32x32 scaling fabric of BenchmarkShardedRun: a
-// 4x-node Design A (1024 routers, 32 banks per column). Big fabrics are
-// where conservative-window sharding pays — more routers per window
-// amortize the barrier.
-func bigMeshDesign() config.Design {
-	banks := make([]bank.Spec, 32)
-	for i := range banks {
-		banks[i] = bank.Spec{SizeKB: 64, Ways: 1}
-	}
-	return config.Design{
-		ID: "A32", Description: "32x32 mesh, uniform 64KB banks (scaling fabric)",
-		Topology: "mesh",
-		Params: topology.Params{W: 32, H: 32, CoreX: 15, MemX: 16,
-			HorizDelay: 1, VertDelay: []int{1}},
-		Banks: banks, Router: router.DefaultConfig(),
-	}
-}
-
-// BenchmarkShardedRun measures the sharded kernel against the
-// sequential baseline (shards=1 runs the plain kernel) on the paper's
-// 16x16 mesh and on the 32x32 scaling fabric. Results are bit-identical
-// across the axis, so ns/op differences are pure execution cost; the
-// parallel worker path engages only when GOMAXPROCS > 1 (see
-// EXPERIMENTS.md "Big-fabric scaling runs" for the recorded numbers and
-// the single-core caveat).
-func BenchmarkShardedRun(b *testing.B) {
-	fabrics := []struct {
-		name   string
-		design *config.Design
-		id     string
-		n      int
-	}{
-		{name: "mesh16", id: "A", n: 4000},
-		{name: "mesh32", design: func() *config.Design { d := bigMeshDesign(); return &d }(), n: 4000},
-	}
-	for _, f := range fabrics {
-		for _, shards := range []int{1, 2, 4, 8} {
-			f, shards := f, shards
-			b.Run(fmt.Sprintf("%s/shards-%d", f.name, shards), func(b *testing.B) {
-				var r core.Result
-				for i := 0; i < b.N; i++ {
-					var err error
-					r, err = core.Run(core.Options{
-						DesignID: f.id, Design: f.design,
-						Policy: cache.FastLRU, Mode: cache.Multicast,
-						Benchmark: "gcc", Accesses: f.n, Seed: 42,
-						Shards: shards,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(r.IPC, "IPC")
-				b.ReportMetric(float64(r.Cycles)/float64(f.n), "cycles/access")
 			})
 		}
 	}

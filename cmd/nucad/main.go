@@ -43,7 +43,6 @@ func main() {
 		queueDepth   = flag.Int("queue", 16, "per-client pending-run bound (backpressure threshold)")
 		cacheEntries = flag.Int("cache", 4096, "result cache capacity (entries)")
 		maxAccesses  = flag.Int("max-accesses", 200000, "per-request access-count cap")
-		shards       = flag.Int("shards", 1, "kernel shards per simulation (server-side execution knob; results and cache keys are shard-invariant)")
 		addrFile     = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
 	)
 	flag.Parse()
@@ -53,7 +52,6 @@ func main() {
 		QueueDepth:   *queueDepth,
 		CacheEntries: *cacheEntries,
 		MaxAccesses:  *maxAccesses,
-		Shards:       *shards,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -5,10 +5,9 @@
 // delays derive from bank geometry, so Table 3's designs A, C, and F are
 // points of the space (internal/place). The search is deterministic
 // simulated annealing: every proposal passes the static deadlock/
-// livelock verifier and the Table 4 area gate before the fleet's
-// lockstep batch evaluator scores it on the benchmark mix with short
-// screening runs; the shortlist and the baseline re-score at full length
-// before the winner is declared.
+// livelock verifier and the Table 4 area gate before the engine scores
+// it on the benchmark mix with short screening runs; the shortlist and
+// the baseline re-score at full length before the winner is declared.
 //
 // Usage:
 //
@@ -37,16 +36,15 @@ func main() {
 	var (
 		seed    = flag.Uint64("seed", 1, "annealing RNG seed")
 		budget  = flag.Int("budget", 48, "candidates to screen before stopping")
-		wave    = flag.Int("wave", 8, "proposals per annealing wave (one fleet batch)")
+		wave    = flag.Int("wave", 8, "proposals per annealing wave (one engine batch)")
 		screen  = flag.Int("screen", 150, "accesses per screening run")
 		confirm = flag.Int("confirm", 4000, "accesses per confirmation run")
 		short   = flag.Int("shortlist", 3, "screening candidates graduating to confirmation")
 		benches = flag.String("benches", strings.Join(place.DefaultBenchmarks, ","),
 			"comma-separated scoring benchmark mix")
-		quiet  = flag.Bool("q", false, "suppress per-wave progress")
-		jobs   = cliutil.Jobs(flag.CommandLine)
-		shards = cliutil.Shards(flag.CommandLine)
-		cores  = flag.Int("cores", 0,
+		quiet = flag.Bool("q", false, "suppress per-wave progress")
+		jobs  = cliutil.Jobs(flag.CommandLine)
+		cores = flag.Int("cores", 0,
 			"score candidates as N-core CMP runs (geomean over per-core IPCs; grid families only, 0 = classic single-core)")
 	)
 	policy, mode := cliutil.Scheme(flag.CommandLine)
@@ -63,7 +61,6 @@ func main() {
 		Shortlist:       *short,
 		Benchmarks:      strings.Split(*benches, ","),
 		Workers:         workers,
-		Shards:          *shards,
 		Policy:          policy.String(),
 		Mode:            mode.String(),
 		Cores:           *cores,

@@ -16,7 +16,7 @@ import (
 )
 
 // Arena carves bank construction state — the frame slab and the set
-// headers, a lane's two largest construction allocations — from
+// headers, a run's two largest construction allocations — from
 // recyclable chunks (see internal/slab). A nil *Arena falls back to
 // plain allocation. Single-goroutine, like every slab arena; batch
 // construction reaches it through router.Arena.Banks.
@@ -111,7 +111,7 @@ func New(spec Spec) *Bank {
 }
 
 // NewIn is New with its storage carved from an arena — batch
-// construction lays a fleet's bank state contiguously and recycles it
+// construction lays a batch's bank state contiguously and recycles it
 // across construction rounds. A nil arena allocates normally.
 func NewIn(spec Spec, ar *Arena) *Bank {
 	if spec.SizeKB <= 0 || spec.Ways <= 0 {

@@ -76,9 +76,7 @@ func (e *directoryEngine) GoldenAccess(g *Golden, st [][]uint64, hb, hw int, tag
 }
 
 // DirStats is the per-system directory state. Columns accumulate
-// independently — a column's agents all live on one kernel shard, so the
-// sharded engines mutate disjoint accumulators without synchronization
-// and Report merges them in deterministic column order.
+// independently and Report merges them in deterministic column order.
 type DirStats struct {
 	cols []dirCol
 }

@@ -156,45 +156,3 @@ func TestCatalogueGoldens(t *testing.T) {
 		}
 	}
 }
-
-// TestCatalogueGoldensSharded reruns the full 54-row catalogue sweep at
-// 2 and 4 kernel shards against the same pre-refactor golden file: the
-// sharded execution path must leave every golden byte unmoved. Designs
-// the partitioner cannot split further (small fabrics clamp to fewer
-// effective shards) still run through the shard plumbing, which is the
-// point — Shards is an execution knob the goldens must not see.
-func TestCatalogueGoldensSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("108-run catalogue sweep; skipped in -short mode")
-	}
-	path := filepath.Join("testdata", "regression_goldens.json")
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read goldens (regenerate with -update-goldens): %v", err)
-	}
-	var want map[string]goldenRow
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4} {
-		opts := catalogueOpts()
-		for i := range opts {
-			opts[i].Shards = shards
-		}
-		results, _, err := core.NewEngine(runtime.NumCPU()).RunAll(opts)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		for i, r := range results {
-			o := opts[i]
-			key := goldenKey(o.DesignID, o.Policy, o.Mode)
-			w, ok := want[key]
-			if !ok {
-				t.Fatalf("shards=%d: %s missing from golden file", shards, key)
-			}
-			if g := rowOf(o.DesignID, o.Policy, o.Mode, r); g != w {
-				t.Errorf("shards=%d: %s drifted from golden\n got %+v\nwant %+v", shards, key, g, w)
-			}
-		}
-	}
-}

@@ -50,7 +50,7 @@ func New(k *sim.Kernel, d config.Design, policy Policy, mode Mode) (*System, err
 }
 
 // Prebuilt carries construction artifacts a caller has already produced
-// so batch evaluation (internal/fleet) can share the immutable ones
+// so batch evaluation (core.Engine.RunAll) can share the immutable ones
 // across many systems of the same design. The zero value builds
 // everything fresh — the ordinary single-run path.
 type Prebuilt struct {
@@ -63,10 +63,6 @@ type Prebuilt struct {
 	// Arena and Prechecked pass through to network.BuildOpts.
 	Arena      *router.Arena
 	Prechecked bool
-	// Plan passes through to network.BuildOpts.Plan: when non-nil the
-	// kernel must be a sim.NewShardedKernel root facade with matching
-	// shard count, and the network wires each router to its home shard.
-	Plan *topology.Plan
 }
 
 // ValidatePair reports the same errors New would raise for an
@@ -113,7 +109,7 @@ func NewPrebuilt(k *sim.Kernel, d config.Design, policy Policy, mode Mode, pre P
 	}
 	var err error
 	s.Net, err = network.NewOpts(k, topo, alg, d.Router,
-		network.BuildOpts{Arena: pre.Arena, Prechecked: pre.Prechecked, Plan: pre.Plan})
+		network.BuildOpts{Arena: pre.Arena, Prechecked: pre.Prechecked})
 	if err != nil {
 		return nil, err
 	}

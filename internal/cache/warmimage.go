@@ -7,10 +7,10 @@ import (
 
 // WarmImage is the precomputed post-warm-up bank state of one design
 // geometry: template banks warmed from a WarmBlocks table exactly as
-// System.Warm would warm them. Batch evaluation (internal/fleet) builds
-// the image once per (bank stack, warm table) and clones it into every
-// lane's banks, replacing the per-block insert replay — the dominant
-// per-lane construction cost for short screening runs — with one slab
+// System.Warm would warm them. Batch evaluation (core.Engine.RunAll)
+// builds the image once per (bank stack, warm table) and clones it into
+// every run's banks, replacing the per-block insert replay — the dominant
+// per-run construction cost for short screening runs — with one slab
 // copy per bank. The image is immutable after construction and safe to
 // share read-only across goroutines.
 type WarmImage struct {

@@ -31,7 +31,7 @@ func Scheme(fs *flag.FlagSet) (*cache.Policy, *cache.Mode) {
 }
 
 // ListSchemes prints the registered replacement policies and the request
-// modes — the -list-policies output shared by the binaries.
+// modes — the -list=policies output shared by the binaries.
 func ListSchemes(w io.Writer) {
 	fmt.Fprintln(w, "registered replacement policies:")
 	for _, name := range cache.PolicyNames() {
@@ -53,7 +53,7 @@ func Router(fs *flag.FlagSet) *string {
 }
 
 // ListRouters prints the registered router microarchitectures — the
-// -list-routers output shared by the binaries.
+// -list=routers output shared by the binaries.
 func ListRouters(w io.Writer) {
 	fmt.Fprintln(w, "registered router engines:")
 	for _, name := range router.Names() {
@@ -71,14 +71,6 @@ func ListRouters(w io.Writer) {
 // path.
 func Cores(fs *flag.FlagSet) *int {
 	return fs.Int("cores", 0, "run as an N-core CMP (trace-driven cores sharing the fabric; 0 = classic single-core)")
-}
-
-// Shards registers the standard -shards flag and returns its
-// destination. Sharding is an execution knob, not a model parameter:
-// results are bit-identical at any shard count, so the flag never
-// appears in canonical run keys.
-func Shards(fs *flag.FlagSet) *int {
-	return fs.Int("shards", 1, "execute each run on N kernel shards (bit-identical; >1 needs multiple CPUs to pay off)")
 }
 
 // TelemetryFlags holds the destinations of the standard telemetry flag

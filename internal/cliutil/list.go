@@ -38,9 +38,7 @@ func ListCategoryNames() []string {
 // ListFlag is the unified registry catalogue flag shared by the
 // binaries: `-list=<what>` prints one catalogue, `-list=all` prints them
 // all, and a bare `-list` prints the binary's default category (which
-// keeps paperbench's historical `-list` = experiments working). The
-// old per-category flags (-list-policies, -list-routers) remain as
-// aliases on the binaries that had them.
+// keeps paperbench's historical `-list` = experiments working).
 type ListFlag struct {
 	what string // "" until set
 	dflt string

@@ -120,11 +120,10 @@ func TestCMPInterferenceRaisesMissRate(t *testing.T) {
 	}
 }
 
-// TestCMPHierarchicalSharding is the full-system determinism proof on
-// the two-chiplet fabric: a 4-core run on H2 must be bit-identical
-// across the sequential kernel and every sharded partition, cores and
-// bridge traffic included.
-func TestCMPHierarchicalSharding(t *testing.T) {
+// TestCMPHierarchicalCrossHomeTraffic: a 4-core run on the two-chiplet
+// fabric must make progress and send traffic to remote home controllers,
+// so the bridge ring is actually exercised.
+func TestCMPHierarchicalCrossHomeTraffic(t *testing.T) {
 	base, err := Run(cmpOpts("H2", 4, 600))
 	if err != nil {
 		t.Fatal(err)
@@ -140,26 +139,6 @@ func TestCMPHierarchicalSharding(t *testing.T) {
 	}
 	if !remote {
 		t.Fatal("4-core H2 run produced no cross-home traffic; the fabric is not exercised")
-	}
-	for _, shards := range []int{2, 4} {
-		o := cmpOpts("H2", 4, 600)
-		o.Shards = shards
-		res, err := Run(o)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if res.IPC != base.IPC || res.Cycles != base.Cycles || res.HitRate != base.HitRate {
-			t.Fatalf("shards=%d drifted: IPC %v vs %v, cycles %d vs %d",
-				shards, res.IPC, base.IPC, res.Cycles, base.Cycles)
-		}
-		for i := range base.Cores {
-			if res.Cores[i] != base.Cores[i] {
-				t.Fatalf("shards=%d core %d drifted: %+v vs %+v", shards, i, res.Cores[i], base.Cores[i])
-			}
-		}
-		if res.Network != base.Network || res.BankAccesses != base.BankAccesses {
-			t.Fatalf("shards=%d network/bank stats drifted", shards)
-		}
 	}
 }
 

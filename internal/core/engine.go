@@ -5,16 +5,18 @@ import (
 	"time"
 
 	"nucanet/internal/network"
+	"nucanet/internal/router"
 	"nucanet/internal/sim"
 	"nucanet/internal/stats"
 )
 
 // Engine fans independent simulation runs out to a bounded pool of
-// worker goroutines. Each run owns its own kernel, RNG streams, and
-// stats (see Run), so the only cross-goroutine traffic is the job index
-// going out and the Result coming back; results land in submission
-// order regardless of completion order, which keeps every sweep
-// bit-identical to its sequential execution.
+// worker goroutines — the one way a batch of runs executes. Runs share
+// only immutable prepared artifacts; each owns its kernel, RNG streams,
+// and stats, so the only cross-goroutine traffic is the job index going
+// out and the Result coming back. Results land in submission order
+// regardless of completion order, which keeps every sweep bit-identical
+// to its sequential execution.
 type Engine struct {
 	workers int
 }
@@ -38,8 +40,8 @@ func (e *Engine) Workers() int { return e.workers }
 type SweepReport struct {
 	Runs    int
 	Workers int
-	Wall    time.Duration
-	Work    time.Duration // sum of per-run durations
+	Wall    time.Duration // the whole sweep, preparation included
+	Work    time.Duration // the batch's preparation plus every PerRun
 	PerRun  []time.Duration
 }
 
@@ -53,20 +55,55 @@ func (r SweepReport) Speedup() float64 {
 }
 
 // RunAll executes every Options on the pool and returns the results in
-// submission order. On error it returns the lowest-index run's error,
-// exactly as a sequential loop would.
+// submission order, bit-identical to calling Run on each. It prepares
+// the whole batch on the calling goroutine through one PrepCache, so
+// runs of one design share its topology, routing table, and static
+// verification, and runs of one (benchmark, seed, geometry) share their
+// warm state and access stream. Each run then builds on a router.Arena
+// no other goroutine holds, recycled from the run before it. On error
+// it returns the lowest-index run's error, exactly as a sequential loop
+// would.
 func (e *Engine) RunAll(opts []Options) ([]Result, SweepReport, error) {
+	start := time.Now()
 	rep := SweepReport{Runs: len(opts), Workers: e.workers}
-	out, durs, wall, err := sim.TimedParMap(e.workers, len(opts), func(i int) (Result, error) {
-		return Run(opts[i])
-	})
-	if err != nil {
-		return nil, rep, err
+	pc := NewPrepCache()
+	arts := make([]*Artifacts, len(opts))
+	var prepErr error
+	for i, opt := range opts {
+		if arts[i], prepErr = Prepare(opt, pc); prepErr != nil {
+			// Runs past the failing one cannot supply a lower-index
+			// error; run only those before it.
+			arts = arts[:i]
+			break
+		}
 	}
-	rep.Wall = wall
+	rep.Work = time.Since(start)
+	// At most e.workers runs are in flight, so the free list never runs
+	// dry.
+	arenas := make(chan *router.Arena, e.workers)
+	for w := 0; w < e.workers; w++ {
+		arenas <- &router.Arena{}
+	}
+	out, durs, _, err := sim.TimedParMap(e.workers, len(arts), func(i int) (Result, error) {
+		ar := <-arenas
+		defer func() { arenas <- ar }()
+		ar.Reset()
+		in, err := NewInstance(arts[i], ar)
+		if err != nil {
+			return Result{}, err
+		}
+		return in.RunToCompletion()
+	})
+	rep.Wall = time.Since(start)
 	rep.PerRun = durs
 	for _, d := range durs {
 		rep.Work += d
+	}
+	if err == nil {
+		err = prepErr
+	}
+	if err != nil {
+		return nil, rep, err
 	}
 	return out, rep, nil
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"nucanet/internal/cache"
 )
@@ -21,24 +23,46 @@ func engineJobs(accesses int) []Options {
 
 func TestEngineRunAllMatchesDirectRuns(t *testing.T) {
 	opts := engineJobs(200)
-	got, rep, err := NewEngine(4).RunAll(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Runs != len(opts) || rep.Workers != 4 || len(rep.PerRun) != len(opts) {
-		t.Fatalf("report shape wrong: %+v", rep)
-	}
-	if rep.Work <= 0 || rep.Wall <= 0 {
-		t.Fatalf("report did not account time: %+v", rep)
-	}
-	for i, opt := range opts {
-		want, err := Run(opt)
+	for _, workers := range []int{1, 4} {
+		start := time.Now()
+		got, rep, err := NewEngine(workers).RunAll(opts)
+		elapsed := time.Since(start)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[i].IPC != want.IPC || got[i].AvgLatency != want.AvgLatency ||
-			got[i].Network != want.Network {
-			t.Errorf("job %d (%s): engine result differs from direct Run", i, opt.Benchmark)
+		if rep.Runs != len(opts) || rep.Workers != workers || len(rep.PerRun) != len(opts) {
+			t.Fatalf("workers=%d: report shape wrong: %+v", workers, rep)
+		}
+		var runs time.Duration
+		for i, d := range rep.PerRun {
+			if d <= 0 {
+				t.Errorf("workers=%d: run %d has no duration", workers, i)
+			}
+			if d > rep.Wall {
+				t.Errorf("workers=%d: run %d took %v, longer than the sweep's wall %v", workers, i, d, rep.Wall)
+			}
+			runs += d
+		}
+		// Work is the batch's preparation plus every run.
+		if rep.Work <= runs || rep.Work > runs+rep.Wall {
+			t.Errorf("workers=%d: Work %v is not preparation plus the summed PerRun %v", workers, rep.Work, runs)
+		}
+		// Wall spans the whole call, preparation included: nothing but
+		// bookkeeping runs outside it.
+		if rep.Wall > elapsed || rep.Wall < elapsed*9/10 {
+			t.Errorf("workers=%d: Wall %v does not span the call's %v", workers, rep.Wall, elapsed)
+		}
+		if workers == 1 && rep.Wall < rep.Work {
+			t.Errorf("sequential sweep: Wall %v below summed work %v", rep.Wall, rep.Work)
+		}
+		for i, opt := range opts {
+			want, err := Run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Errorf("workers=%d job %d (%s): engine result differs from direct Run", workers, i, opt.Benchmark)
+			}
 		}
 	}
 }

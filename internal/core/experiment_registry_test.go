@@ -93,33 +93,3 @@ func TestExperimentSchemeOverride(t *testing.T) {
 		t.Errorf("energy with bad policy override: err = %v, want mention of the name", err)
 	}
 }
-
-// TestExperimentGoldensShardInvariant reruns a slice of the experiment
-// goldens with ExpConfig.Shards set: the registry output bytes must
-// match the sequential goldens exactly, proving the -shards flag can
-// never move a published table or figure.
-func TestExperimentGoldensShardInvariant(t *testing.T) {
-	cfg := ExpConfig{Accesses: 200, Seed: 42, Shards: 4}
-	for _, name := range []string{"f7", "energy", "power"} {
-		t.Run(name, func(t *testing.T) {
-			e, err := ExperimentByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, _, err := e.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			fmt.Fprintf(&buf, "=== %s ===\n", e.Title(cfg))
-			rows.Render(&buf)
-			want, err := os.ReadFile(filepath.Join("testdata", "exp_"+name+".golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("experiment %q at 4 shards drifted from sequential golden\ngot:\n%s", name, buf.String())
-			}
-		})
-	}
-}

@@ -65,14 +65,6 @@ type ExpConfig struct {
 	// zero value selects its default probe set. Other experiments ignore
 	// it.
 	Telemetry telemetry.Config
-	// Fleet routes sweeps through the bulk-synchronous fleet evaluator
-	// when one is linked in (see SetBulkRunner) — bit-identical results,
-	// shared preparation. False keeps the per-run goroutine engine.
-	Fleet bool
-	// Shards runs every simulation in the sweep on N kernel shards (the
-	// -shards flag). Purely an execution knob: any value produces
-	// byte-identical experiment output, pinned by the determinism matrix.
-	Shards int
 	// Cores runs every simulation with N trace-driven cores on the CMP
 	// fabric (the -cores flag); 0 keeps the classic single-core path.
 	// Experiments over designs that cannot host cores (the radial halos)
@@ -87,19 +79,6 @@ func (cfg ExpConfig) bench() string {
 		return "gcc"
 	}
 	return cfg.Bench
-}
-
-// bulkRunner is the fleet evaluator's entry point, registered by
-// internal/fleet's init through SetBulkRunner. The indirection exists
-// because fleet builds on core: core cannot import it back.
-var bulkRunner func(opts []Options, workers int) ([]Result, SweepReport, error)
-
-// SetBulkRunner installs the batch evaluator ExpConfig.Fleet selects.
-// The runner must return results bit-identical to Engine.RunAll in
-// submission order with the same error semantics; internal/fleet
-// registers its lockstep evaluator here.
-func SetBulkRunner(fn func(opts []Options, workers int) ([]Result, SweepReport, error)) {
-	bulkRunner = fn
 }
 
 // DefaultExpConfig keeps the full figure sweeps to a few minutes.
@@ -127,17 +106,12 @@ func (cfg ExpConfig) run(designID string, p cache.Policy, m cache.Mode, bench st
 	return Options{
 		DesignID: designID, Policy: p, Mode: m, Router: cfg.RouterName,
 		Benchmark: bench, Accesses: cfg.Accesses, Seed: cfg.Seed,
-		Shards: cfg.Shards, Cores: cfg.Cores,
+		Cores: cfg.Cores,
 	}
 }
 
-// sweep fans the job list out on the engine configured by cfg: the
-// per-run goroutine engine, or the registered fleet evaluator when
-// cfg.Fleet asks for it (identical results either way).
+// sweep fans the job list out on an engine of cfg.Workers workers.
 func (cfg ExpConfig) sweep(opts []Options) ([]Result, SweepReport, error) {
-	if cfg.Fleet && bulkRunner != nil {
-		return bulkRunner(opts, cfg.Workers)
-	}
 	return NewEngine(cfg.Workers).RunAll(opts)
 }
 
@@ -405,7 +379,6 @@ func PowerGatingSweep(cfg ExpConfig, bench string) ([]PowerCell, SweepReport, er
 		opts[i] = Options{
 			Design: &gated, Policy: p, Mode: m,
 			Benchmark: bench, Accesses: cfg.Accesses, Seed: cfg.Seed,
-			Shards: cfg.Shards,
 		}
 		out[i] = PowerCell{WaysOn: ways, CapacityKB: d.CapacityKB()}
 	}
@@ -635,7 +608,7 @@ func CMPSharing(cfg ExpConfig, designID, bench string) (CMPResult, SweepReport, 
 		opts[i] = Options{
 			DesignID: designID, Policy: p, Mode: m, Router: cfg.RouterName,
 			Benchmark: bench, Accesses: cfg.Accesses, Seed: cfg.Seed,
-			Shards: cfg.Shards, Cores: n,
+			Cores:     n,
 			Telemetry: telemetry.Config{Heatmap: true},
 		}
 	}

@@ -17,20 +17,12 @@ import (
 // compares this list against the Options struct via reflection, so a
 // field added to Options without a matching canonicalRun extension (and
 // an entry here) fails the build's tests instead of silently aliasing
-// distinct configurations in the result cache.
+// distinct configurations in the result cache. Every Options field is
+// hashed: none is a pure execution knob that cannot change the Result.
 var hashedOptionFields = []string{
 	"DesignID", "Design", "Policy", "Mode", "Benchmark", "Router",
 	"Accesses", "Seed", "CPU", "Telemetry", "Cores",
 }
-
-// unhashedOptionFields lists the Options fields the canonical hash
-// deliberately ignores: execution knobs that cannot change the Result.
-// Shards is excluded because sharded runs are bit-identical to
-// sequential ones (the determinism matrix in shard_determinism_test.go
-// pins this), so a nucad cache entry computed at any shard count
-// serves every other. The coverage test asserts every Options field
-// appears in exactly one of the two lists.
-var unhashedOptionFields = []string{"Shards"}
 
 // canonicalRun is the normalized image of one Options value: the design
 // resolved through config.Resolve (so a catalogue id and a byte-equal

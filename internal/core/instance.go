@@ -24,9 +24,9 @@ import (
 // NewInstance assembles the mutable simulation state (kernel, cache
 // system, core) over them. Run is Prepare + NewInstance + run-to-idle,
 // preserving the pre-split construction sequence exactly — the 48
-// regression goldens and the fleet bit-identity table are the proof.
-// The fleet evaluator (internal/fleet) shares one PrepCache across a
-// batch and steps many Instances in lockstep.
+// regression goldens and the engine bit-identity table are the proof.
+// Engine.RunAll shares one PrepCache across a batch and builds each
+// worker's Instances from one recycled router.Arena.
 
 // Artifacts is everything about a run that is immutable once prepared.
 // All reference fields are shared read-only: many Instances — on one
@@ -60,9 +60,8 @@ type Artifacts struct {
 // runs of a batch: the (topology, routing table, static verification)
 // triple per distinct design, and the (warm table, access stream) pair
 // per distinct (benchmark, seed, geometry, accesses) key. A nil
-// *PrepCache disables sharing. Not safe for concurrent use; the fleet
-// evaluator prepares its whole batch on one goroutine before fanning
-// out.
+// *PrepCache disables sharing. Not safe for concurrent use; Engine.RunAll
+// prepares its whole batch on one goroutine before fanning out.
 type PrepCache struct {
 	designs map[string]*designEntry
 	traces  map[traceKey]*traceEntry
@@ -212,9 +211,6 @@ func Prepare(opt Options, pc *PrepCache) (*Artifacts, error) {
 	if opt.Accesses <= 0 {
 		return nil, fmt.Errorf("core: accesses must be positive, got %d", opt.Accesses)
 	}
-	if opt.Shards < 0 {
-		return nil, fmt.Errorf("core: shards must be non-negative, got %d", opt.Shards)
-	}
 	if opt.Cores < 0 {
 		return nil, fmt.Errorf("core: cores must be non-negative, got %d", opt.Cores)
 	}
@@ -222,9 +218,6 @@ func Prepare(opt Options, pc *PrepCache) (*Artifacts, error) {
 		if err := cmp.SupportsHost(de.topo, d.ID, opt.Cores); err != nil {
 			return nil, err
 		}
-	}
-	if opt.Shards > 1 && opt.Telemetry.Trace {
-		return nil, fmt.Errorf("core: the flit trace probe requires the sequential kernel (shards=%d with trace)", opt.Shards)
 	}
 	if err := cache.ValidatePair(opt.Policy, opt.Mode); err != nil {
 		return nil, err
@@ -264,9 +257,7 @@ func (pc *PrepCache) imageFor(d config.Design, te *traceEntry) *cache.WarmImage 
 
 // Instance is one assembled simulation: a kernel, the cache system, and
 // the trace-driven core (or, in CMP mode, the fabric and one core per
-// port), built over shared Artifacts. Drive it either with
-// RunToCompletion (the single-run path) or with Start plus external
-// kernel stepping (the fleet's lockstep path) followed by FinishIdle.
+// port), built over shared Artifacts. RunToCompletion drives it.
 type Instance struct {
 	Art *Artifacts
 	K   *sim.Kernel
@@ -280,27 +271,13 @@ type Instance struct {
 }
 
 // NewInstance assembles the mutable simulation state over art. ar, when
-// non-nil, is the router-construction arena lanes of a fleet batch share
-// (see router.Arena); it must not be shared across goroutines.
+// non-nil, is the router-construction arena one engine worker reuses
+// across its runs (see router.Arena); it must not be shared across
+// goroutines.
 func NewInstance(art *Artifacts, ar *router.Arena) (*Instance, error) {
-	var k *sim.Kernel
-	var plan *topology.Plan
-	if art.Opt.Shards > 1 {
-		// Partition the fabric; the planner clamps to what the graph
-		// supports and may come back with a single shard, in which case
-		// the plain sequential kernel is the same machine with less
-		// bookkeeping.
-		if plan = topology.Partition(art.Topo, art.Opt.Shards); plan.Shards > 1 {
-			k = sim.NewShardedKernel(plan.Shards)
-		} else {
-			plan = nil
-		}
-	}
-	if k == nil {
-		k = sim.NewKernel()
-	}
+	k := sim.NewKernel()
 	sys, err := cache.NewPrebuilt(k, art.Design, art.Opt.Policy, art.Opt.Mode, cache.Prebuilt{
-		Topo: art.Topo, Alg: art.Table, Arena: ar, Prechecked: true, Plan: plan,
+		Topo: art.Topo, Alg: art.Table, Arena: ar, Prechecked: true,
 	})
 	if err != nil {
 		return nil, err
@@ -341,55 +318,31 @@ func NewInstance(art *Artifacts, ar *router.Arena) (*Instance, error) {
 	return &Instance{Art: art, K: k, Sys: sys, C: c, Fab: fab, cores: cores, tel: tel}, nil
 }
 
-// Start arms every core's first access. Call exactly once, before
-// stepping the kernel externally; RunToCompletion calls it itself.
-func (in *Instance) Start() {
-	if in.Fab != nil {
-		for _, c := range in.cores {
-			c.Start()
-		}
-		return
-	}
-	in.C.Start()
-}
-
 // RunToCompletion drives the instance to quiescence and assembles the
-// Result — the single-run path Run uses.
+// Result.
 func (in *Instance) RunToCompletion() (Result, error) {
-	if in.Fab != nil {
-		in.Start()
-		if _, idle := in.K.Run(1 << 40); !idle {
-			return Result{}, in.wrapErr(fmt.Errorf("cmp run did not complete"))
+	if in.Fab == nil {
+		res, err := in.C.Run(1 << 40)
+		if err != nil {
+			return Result{}, in.wrapErr(err)
 		}
-		return in.FinishIdle()
+		return in.finish(res)
 	}
-	res, err := in.C.Run(1 << 40)
-	if err != nil {
-		return Result{}, in.wrapErr(err)
+	for _, c := range in.cores {
+		c.Start()
 	}
-	return in.finish(res)
-}
-
-// FinishIdle collects the Result after external stepping drove the
-// kernel idle (the fleet path). It errors — like the single-run path —
-// when the access stream did not complete.
-func (in *Instance) FinishIdle() (Result, error) {
-	if in.Fab != nil {
-		rs := make([]cpu.Result, len(in.cores))
-		for i, c := range in.cores {
-			r, err := c.Result()
-			if err != nil {
-				return Result{}, in.wrapErr(fmt.Errorf("core %d: %w", i, err))
-			}
-			rs[i] = r
+	if _, idle := in.K.Run(1 << 40); !idle {
+		return Result{}, in.wrapErr(fmt.Errorf("cmp run did not complete"))
+	}
+	rs := make([]cpu.Result, len(in.cores))
+	for i, c := range in.cores {
+		r, err := c.Result()
+		if err != nil {
+			return Result{}, in.wrapErr(fmt.Errorf("core %d: %w", i, err))
 		}
-		return in.finishCMP(rs)
+		rs[i] = r
 	}
-	res, err := in.C.Result()
-	if err != nil {
-		return Result{}, in.wrapErr(err)
-	}
-	return in.finish(res)
+	return in.finishCMP(rs)
 }
 
 func (in *Instance) wrapErr(err error) error {

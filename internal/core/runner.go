@@ -38,12 +38,6 @@ func (o Options) Validate() error {
 	if o.Accesses <= 0 {
 		return fmt.Errorf("core: accesses must be positive, got %d", o.Accesses)
 	}
-	if o.Shards < 0 {
-		return fmt.Errorf("core: shards must be non-negative, got %d", o.Shards)
-	}
-	if o.Shards > 1 && o.Telemetry.Trace {
-		return fmt.Errorf("core: the flit trace probe requires the sequential kernel (shards=%d with trace)", o.Shards)
-	}
 	return nil
 }
 
@@ -102,12 +96,6 @@ func WithSeed(s uint64) Option {
 // WithTelemetry enables cycle-level probes.
 func WithTelemetry(tc telemetry.Config) Option {
 	return func(o *Options) { o.Telemetry = tc }
-}
-
-// WithShards sets the intra-run shard count (0 or 1 = sequential
-// kernel). Results are bit-identical at every value; see Options.Shards.
-func WithShards(n int) Option {
-	return func(o *Options) { o.Shards = n }
 }
 
 // NewRunner builds a Runner from DefaultOptions with opts applied in

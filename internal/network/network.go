@@ -49,42 +49,17 @@ type Network struct {
 	Routers []router.Engine
 
 	eps [][3]Endpoint // [node][flit.Endpoint]
-	// pools recycle multicast replica packets: one pool per shard so
-	// phase-1 sweeps never share a freelist (length 1 on a sequential
-	// kernel). Sharded pools run in deferred mode — see windowFlush.
-	pools []*flit.PacketPool
-	// staged holds each shard's phase-1 endpoint deliveries; nil on a
-	// sequential kernel.
-	staged []stagedDeliveries
+	// pool recycles multicast replica packets for every router.
+	pool *flit.PacketPool
 	// Traffic counters. Per-Network state, mutated only from Send and
 	// deliver, both of which run on the goroutine driving this network's
-	// kernel — parallel sweeps give every run its own Network, and on a
-	// sharded kernel deliveries are staged until the single-threaded
-	// window boundary — so these need no synchronization (audited: go
-	// test -race plus the engine's determinism regression test in
-	// internal/core).
+	// kernel — parallel sweeps give every run its own Network — so these
+	// need no synchronization (audited: go test -race plus the engine's
+	// determinism regression test in internal/core).
 	nextPktID uint64
 	injected  uint64
 	delivered uint64
 	flitsInj  uint64
-}
-
-// stagedDelivery is one phase-1 endpoint delivery: kid (the ejecting
-// router's kernel id) reconstructs the sequential delivery order at the
-// window boundary.
-type stagedDelivery struct {
-	kid  int
-	node topology.NodeID
-	pkt  *flit.Packet
-}
-
-// stagedDeliveries is one shard's phase-1 delivery mailbox, padded so
-// neighboring shards' append-heavy slice headers sit on separate cache
-// lines.
-type stagedDeliveries struct {
-	items []stagedDelivery
-	pos   int
-	_     [32]byte
 }
 
 // New builds and wires a network over topo using alg and router config cfg,
@@ -107,21 +82,13 @@ func New(k *sim.Kernel, topo *topology.Topology, alg routing.Algorithm, cfg rout
 type BuildOpts struct {
 	// Arena, when non-nil, supplies the backing storage every router
 	// carves its construction-time state from, laying a batch of
-	// networks out contiguously (see router.Arena and internal/fleet).
+	// networks out contiguously (see router.Arena).
 	Arena *router.Arena
 	// Prechecked skips the static progress proof and Supports gate. Only
 	// set it when Check already accepted this exact (topology, routing,
-	// config) triple — the fleet evaluator verifies once per design and
-	// then builds one network per lane.
+	// config) triple — batch evaluation (core.Engine) verifies once per
+	// design and then builds one network per run.
 	Prechecked bool
-	// Plan, when non-nil with more than one shard, wires each router to
-	// its home shard's kernel facade and routes cut-link interactions
-	// through the sharded kernel's window machinery: cut-adjacent
-	// routers get wavefront cut waits, endpoint deliveries stage in
-	// per-shard mailboxes replayed at window boundaries, and packet
-	// recycling defers to the boundary. k must have been built by
-	// sim.NewShardedKernel with exactly Plan.Shards shards.
-	Plan *topology.Plan
 }
 
 // Check runs New's static construction gates — engine lookup, routing
@@ -170,43 +137,12 @@ func NewOpts(k *sim.Kernel, topo *topology.Topology, alg routing.Algorithm, cfg 
 	} else if tb, err = Check(topo, alg, cfg); err != nil {
 		return nil, err
 	}
-	plan := o.Plan
-	if plan != nil && plan.Shards <= 1 {
-		plan = nil
-	}
-	if plan != nil && k.Shards() != plan.Shards {
-		return nil, fmt.Errorf("network: partition plan has %d shards but the kernel has %d", plan.Shards, k.Shards())
-	}
-	if plan != nil && len(plan.ShardOf) != topo.NumNodes() {
-		return nil, fmt.Errorf("network: partition plan covers %d nodes, topology %s has %d", len(plan.ShardOf), topo.Name, topo.NumNodes())
-	}
-	n := &Network{K: k, Topo: topo, Alg: tb}
-	shards := 1
-	if plan != nil {
-		shards = plan.Shards
-	}
-	n.pools = make([]*flit.PacketPool, shards)
-	for i := range n.pools {
-		n.pools[i] = &flit.PacketPool{}
-		if plan != nil {
-			n.pools[i].SetDeferred(true)
-		}
-	}
-	facade := func(id int) *sim.Kernel {
-		if plan == nil {
-			return k
-		}
-		return k.ShardFacade(plan.ShardOf[id])
-	}
+	n := &Network{K: k, Topo: topo, Alg: tb, pool: &flit.PacketPool{}}
 	n.Routers = make([]router.Engine, topo.NumNodes())
 	n.eps = make([][3]Endpoint, topo.NumNodes())
 	for id := 0; id < topo.NumNodes(); id++ {
-		shard := 0
-		if plan != nil {
-			shard = plan.ShardOf[id]
-		}
-		n.Routers[id] = eng.New(id, topo, tb, cfg, facade(id), o.Arena)
-		n.Routers[id].SetPool(n.pools[shard])
+		n.Routers[id] = eng.New(id, topo, tb, cfg, k, o.Arena)
+		n.Routers[id].SetPool(n.pool)
 	}
 	for id := 0; id < topo.NumNodes(); id++ {
 		for p := 0; p < topo.NumPorts(id); p++ {
@@ -217,143 +153,16 @@ func NewOpts(k *sim.Kernel, topo *topology.Topology, alg routing.Algorithm, cfg 
 			n.Routers[id].Wire(p, n.Routers[l.To], l.ToPort, l.Delay)
 		}
 	}
-	// Registration order is the node id order either way, so kernel ids —
-	// and with them the within-cycle tick order — are independent of the
-	// plan.
+	// Registration order is the node id order, so kernel ids — and with
+	// them the within-cycle tick order — follow the node ids.
 	for id := 0; id < topo.NumNodes(); id++ {
 		node := id
-		n.Routers[id].SetKernelID(facade(id).Register(n.Routers[id]))
-		if plan == nil {
-			n.Routers[id].SetDeliver(func(pkt *flit.Packet, now int64) {
-				n.deliver(node, pkt, now)
-			})
-			continue
-		}
-		shard := plan.ShardOf[id]
-		kid := n.Routers[id].KernelID()
+		n.Routers[id].SetKernelID(k.Register(n.Routers[id]))
 		n.Routers[id].SetDeliver(func(pkt *flit.Packet, now int64) {
-			if n.K.ShardPhase() {
-				st := &n.staged[shard]
-				st.items = append(st.items, stagedDelivery{kid: kid, node: node, pkt: pkt})
-				return
-			}
 			n.deliver(node, pkt, now)
 		})
 	}
-	if plan != nil {
-		n.staged = make([]stagedDeliveries, plan.Shards)
-		n.wireCutWaits(plan)
-		k.SetOnWindow(n.windowFlush)
-	}
 	return n, nil
-}
-
-// wireCutWaits installs the sharded kernel's within-cycle ordering: two
-// cross-shard routers must tick in ascending id order — the sequential
-// order — whenever their sweeps could touch the same state in one
-// cycle. That is the case at distance 1 (a router reads and writes its
-// link neighbors' queues, credits, and latches directly) and at
-// distance 2 through a common neighbor (two upstream routers pushing
-// into the same node both bump its occupancy). Every router in any such
-// pair publishes wavefront progress; the higher id of each pair waits
-// on the lower.
-func (n *Network) wireCutWaits(plan *topology.Plan) {
-	nn := n.Topo.NumNodes()
-	adj := make([][]int, nn)
-	addEdge := func(a, b int) {
-		for _, x := range adj[a] {
-			if x == b {
-				return
-			}
-		}
-		adj[a] = append(adj[a], b)
-	}
-	for id := 0; id < nn; id++ {
-		for p := 0; p < n.Topo.NumPorts(topology.NodeID(id)); p++ {
-			if l, ok := n.Topo.Link(topology.NodeID(id), p); ok {
-				addEdge(id, int(l.To))
-				addEdge(int(l.To), id)
-			}
-		}
-	}
-	peers := make([][]bool, nn)
-	add := func(a, b int) {
-		if a == b || plan.ShardOf[a] == plan.ShardOf[b] {
-			return
-		}
-		if peers[a] == nil {
-			peers[a] = make([]bool, nn)
-		}
-		peers[a][b] = true
-	}
-	for a := 0; a < nn; a++ {
-		for _, b := range adj[a] {
-			add(a, b)
-			add(b, a)
-			for _, c := range adj[a] { // b and c share neighbor a
-				add(b, c)
-				add(c, b)
-			}
-		}
-	}
-	for id := 0; id < nn; id++ {
-		if peers[id] == nil {
-			continue
-		}
-		kid := n.Routers[id].KernelID()
-		var waits []sim.CutWait
-		for p := 0; p < nn; p++ {
-			if !peers[id][p] {
-				continue
-			}
-			if pk := n.Routers[p].KernelID(); pk < kid {
-				waits = append(waits, sim.CutWait{Shard: plan.ShardOf[p], Kid: pk})
-			}
-		}
-		// Publish progress even with no one to wait on: lower-id cut
-		// routers are what higher-id peers in other shards spin on.
-		n.K.SetCutWaits(kid, waits)
-	}
-}
-
-// windowFlush runs at every window boundary of a sharded kernel: it
-// replays the deliveries staged during the parallel phase in ejecting-
-// router kernel-id order — each shard's mailbox is already ascending,
-// so a k-way merge reconstructs exactly the order a sequential sweep
-// would have delivered in — then recycles the packets returned during
-// the window (deferred so staged deliveries could still read them).
-func (n *Network) windowFlush(now int64) {
-	for {
-		best, bestKid := -1, 0
-		for s := range n.staged {
-			st := &n.staged[s]
-			if st.pos < len(st.items) {
-				if kid := st.items[st.pos].kid; best < 0 || kid < bestKid {
-					best, bestKid = s, kid
-				}
-			}
-		}
-		if best < 0 {
-			break
-		}
-		st := &n.staged[best]
-		for st.pos < len(st.items) && st.items[st.pos].kid == bestKid {
-			d := st.items[st.pos]
-			st.pos++
-			n.deliver(d.node, d.pkt, now)
-		}
-	}
-	for s := range n.staged {
-		st := &n.staged[s]
-		for i := range st.items {
-			st.items[i].pkt = nil
-		}
-		st.items = st.items[:0]
-		st.pos = 0
-	}
-	for _, p := range n.pools {
-		p.Flush()
-	}
 }
 
 // MustNew is New for topology/algorithm pairs the caller knows to be
@@ -414,21 +223,10 @@ func (n *Network) InFlight() int {
 	return total
 }
 
-// PoolStats returns the replica packet pools' summed accounting. After
-// the network quiesces every replica has been returned: Live == 0 (the
-// leak invariant checked by tests). A replica may be minted by one
-// shard's pool and returned to another's; the sums still balance.
-func (n *Network) PoolStats() flit.PoolStats {
-	var s flit.PoolStats
-	for _, p := range n.pools {
-		ps := p.Stats()
-		s.Gets += ps.Gets
-		s.Puts += ps.Puts
-		s.Allocated += ps.Allocated
-	}
-	s.Live = s.Gets - s.Puts
-	return s
-}
+// PoolStats returns the replica packet pool's accounting. After the
+// network quiesces every replica has been returned: Live == 0 (the leak
+// invariant checked by tests).
+func (n *Network) PoolStats() flit.PoolStats { return n.pool.Stats() }
 
 // Stats sums per-router counters with the network totals. Delivered counts
 // include multicast replicas (one delivery per bank reached).

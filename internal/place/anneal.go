@@ -9,14 +9,12 @@ import (
 	"nucanet/internal/cache"
 	"nucanet/internal/config"
 	"nucanet/internal/core"
-	"nucanet/internal/fleet"
 	"nucanet/internal/sim"
 )
 
 // DefaultBenchmarks is the scoring mix: two integer and two FP profiles
-// spanning the Table 2 access-intensity range, the same wave the fleet
-// benchmark models. A candidate's score is the geometric-mean IPC over
-// the mix.
+// spanning the Table 2 access-intensity range. A candidate's score is
+// the geometric-mean IPC over the mix.
 var DefaultBenchmarks = []string{"gcc", "mcf", "art", "apsi"}
 
 // Config tunes one optimizer search; zero fields take the listed
@@ -30,12 +28,12 @@ type Config struct {
 	// counts.
 	Budget int
 	// Wave is how many mutations each annealing step proposes; the whole
-	// wave screens as one fleet batch of Wave x len(Benchmarks) lanes
+	// wave screens as one engine batch of Wave x len(Benchmarks) runs
 	// (default 8).
 	Wave int
 
 	// ScreenAccesses is the per-run length of screening scores (default
-	// 150: the regime the fleet's shared preparation is built for).
+	// 150: short enough that the engine's shared preparation dominates).
 	// ConfirmAccesses re-scores the shortlist and the baseline at full
 	// length before the winner is declared (default 4000).
 	ScreenAccesses  int
@@ -45,14 +43,7 @@ type Config struct {
 	Shortlist int
 
 	Benchmarks []string // scoring mix (default DefaultBenchmarks)
-	Workers    int      // fleet workers; 0 selects GOMAXPROCS
-
-	// Shards runs every scored simulation on N kernel shards. Scores are
-	// bit-identical at any value (sharding is an execution knob), so the
-	// search result and its hash do not move; >1 routes scoring through
-	// the per-run engine because the fleet's lockstep schedule already
-	// interleaves runs on one core.
-	Shards int
+	Workers    int      // engine workers; 0 selects GOMAXPROCS
 
 	// Policy and Mode name the replacement scheme of every scored run;
 	// empty selects the paper's winner (multicast Fast-LRU).
@@ -146,7 +137,7 @@ type Result struct {
 	RejectedArea   int
 	Sims           int
 
-	// Report aggregates the fleet batches' sweep accounting.
+	// Report aggregates the engine batches' sweep accounting.
 	Report core.SweepReport
 }
 
@@ -154,8 +145,8 @@ type Result struct {
 // space. Every proposal passes the static safety gate
 // (Candidate.Verify: deadlock/livelock-freedom of its routed topology)
 // and the area gate (L2 area no larger than the Design F baseline's)
-// before it is scored; scores come from the real engine via the fleet's
-// lockstep batch evaluator. Screening runs are short; the shortlist is
+// before it is scored; scores come from the real simulator, one
+// core.Engine batch per wave. Screening runs are short; the shortlist is
 // re-scored at confirmation length together with the baseline, so the
 // returned Best is a confirmed, not screened, winner.
 func Search(cfg Config) (*Result, error) {
@@ -255,7 +246,7 @@ func Search(cfg Config) (*Result, error) {
 		}
 		stalled = 0
 
-		// One fleet batch screens the whole wave.
+		// One engine batch screens the whole wave.
 		wv, err := eval(fresh, cfg.ScreenAccesses)
 		if err != nil {
 			return nil, err
@@ -303,8 +294,8 @@ func Search(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// score evaluates candidates on the benchmark mix through the fleet: one
-// lockstep batch of len(cands) x len(benchmarks) lanes.
+// score evaluates candidates on the benchmark mix: one engine batch of
+// len(cands) x len(benchmarks) runs.
 func (res *Result) score(cands []Candidate, accesses int, policy cache.Policy, mode cache.Mode, cfg Config) ([]Scored, error) {
 	model := area.DefaultModel()
 	opts := make([]core.Options, 0, len(cands)*len(cfg.Benchmarks))
@@ -319,23 +310,11 @@ func (res *Result) score(cands []Candidate, accesses int, policy cache.Policy, m
 			opt.Benchmark = bench
 			opt.Accesses = accesses
 			opt.Seed = 42
-			opt.Shards = cfg.Shards
 			opt.Cores = cfg.Cores
 			opts = append(opts, opt)
 		}
 	}
-	var (
-		results []core.Result
-		rep     core.SweepReport
-		err     error
-	)
-	if cfg.Shards > 1 {
-		// Sharded kernels parallelize within a run; the per-run engine
-		// keeps that useful. Results are bit-identical to the fleet path.
-		results, rep, err = core.NewEngine(cfg.Workers).RunAll(opts)
-	} else {
-		results, rep, err = fleet.RunAll(opts, fleet.Config{Workers: cfg.Workers})
-	}
+	results, rep, err := core.NewEngine(cfg.Workers).RunAll(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -344,6 +323,7 @@ func (res *Result) score(cands []Candidate, accesses int, policy cache.Policy, m
 	res.Report.Workers = rep.Workers
 	res.Report.Wall += rep.Wall
 	res.Report.Work += rep.Work
+	res.Report.PerRun = append(res.Report.PerRun, rep.PerRun...)
 
 	out := make([]Scored, len(cands))
 	for i, c := range cands {

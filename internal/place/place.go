@@ -2,6 +2,5 @@
 // stack fills each column, where the core and memory controller sit,
 // and the link budgets between them — and registers the "placement"
 // experiment that searches the space with deterministic simulated
-// annealing (cmd/nucaopt drives it). Importing the package links the
-// fleet evaluator, so candidate waves score through the lockstep path.
+// annealing (cmd/nucaopt drives it).
 package place

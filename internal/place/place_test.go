@@ -143,7 +143,7 @@ func TestSearchDeterministicAndSound(t *testing.T) {
 
 // TestSearchWithCoresScreensCMP pins the multi-core screening path: a
 // Cores > 0 search starts from the Design A mesh, scores candidates as
-// CMP runs through the fleet, stays deterministic, and never graduates a
+// CMP runs through the engine, stays deterministic, and never graduates a
 // radial candidate (halos cannot host a core grid).
 func TestSearchWithCoresScreensCMP(t *testing.T) {
 	cfg := Config{

@@ -8,7 +8,7 @@ import (
 
 // Arena carves the slices a router engine allocates at construction time
 // out of large typed chunks (see internal/slab), so a batch of routers —
-// or a whole fleet of lockstep simulations (see internal/fleet) — lays
+// or every run an engine worker builds (see core.Engine.RunAll) — lays
 // its VC rings, credit counters, and arbitration scratch side by side in
 // memory instead of scattering thousands of small heap objects.
 // Construction from an arena is behavior-identical to per-router
@@ -18,7 +18,7 @@ import (
 // neighbor-fed VCs).
 //
 // Banks is the cache-bank construction arena riding along: one Arena per
-// worker provisions everything a lane builds, and one Reset recycles it
+// worker provisions everything a run builds, and one Reset recycles it
 // all.
 //
 // An Arena is single-goroutine state: share one per worker, never across
@@ -51,8 +51,8 @@ func (a *Arena) BankArena() *bank.Arena {
 // memory is zeroed and carving restarts from the first chunk, so no new
 // allocations happen until usage exceeds the arena's high-water mark.
 // Every slice previously carved from the arena is invalidated — callers
-// must only Reset once nothing built from the arena is referenced (the
-// fleet resets between lane cohorts, whose instances are complete and
+// must only Reset once nothing built from the arena is referenced (an
+// engine worker resets between runs, whose instances are complete and
 // dropped).
 func (a *Arena) Reset() {
 	a.entries.Reset()

@@ -154,9 +154,6 @@ func (b *Bufferless) SetDeliver(f func(*flit.Packet, int64)) { b.deliver = f }
 // SetKernelID records the component id for activations.
 func (b *Bufferless) SetKernelID(id int) { b.kid = id }
 
-// KernelID returns the registered component id.
-func (b *Bufferless) KernelID() int { return b.kid }
-
 // SetTelemetry installs the probe collector (nil disables all probes).
 func (b *Bufferless) SetTelemetry(c *telemetry.Collector) { b.tel = c }
 

@@ -43,10 +43,8 @@ type Engine interface {
 
 	// SetDeliver installs the local ejection callback.
 	SetDeliver(f func(*flit.Packet, int64))
-	// SetKernelID records the component id used for activations;
-	// KernelID returns it.
+	// SetKernelID records the component id used for activations.
 	SetKernelID(id int)
-	KernelID() int
 	// SetTelemetry installs the probe collector (nil disables probes).
 	SetTelemetry(c *telemetry.Collector)
 	// SetPool installs the per-run packet freelist for multicast
@@ -58,13 +56,13 @@ type Engine interface {
 type Builder struct {
 	// Name is the registry key ("vc-wormhole", "bufferless", "ring-lite").
 	Name string
-	// Description is one line for -list-routers and GET /v1/routers.
+	// Description is one line for -list=routers and GET /v1/routers.
 	Description string
 
 	// New constructs one unwired node. The network package wires links,
 	// installs the pool/deliver/kernel hooks, and registers it. ar, when
 	// non-nil, is the construction arena the node must carve its state
-	// from (batch construction for the fleet evaluator); a nil arena
+	// from (batch construction in core.Engine.RunAll); a nil arena
 	// means per-router allocation and must produce identical behavior.
 	New func(id topology.NodeID, topo *topology.Topology, tb *routing.Table, cfg Config, k *sim.Kernel, ar *Arena) Engine
 

@@ -50,12 +50,6 @@ type Config struct {
 	CacheEntries int
 	// MaxAccesses caps the per-request access count; <= 0 selects 200000.
 	MaxAccesses int
-	// Shards runs every cache-miss simulation on N kernel shards — a
-	// server-side execution knob (nucad -shards). It never enters the
-	// content address: results are bit-identical at any shard count, so a
-	// cached body stays valid whatever value the server runs with, and a
-	// warm hit is served regardless of the current setting.
-	Shards int
 	// Run executes one simulation; nil selects core.Run. Tests inject
 	// gated fakes here to exercise fairness and shutdown deterministically.
 	Run func(core.Options) (core.Result, error)
@@ -164,9 +158,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, aerr)
 		return
 	}
-	// Applied after validation and before keying: CanonicalKey excludes
-	// Shards, so the address (and any cached entry) is shard-invariant.
-	opts.Shards = s.cfg.Shards
 	key, err := core.CanonicalKey(opts)
 	if err != nil {
 		// options() validated everything CanonicalKey resolves, so this

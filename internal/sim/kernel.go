@@ -98,12 +98,6 @@ func (h eventHeap) peek() (int64, bool) { // earliest event time
 
 // Kernel drives registered components cycle by cycle.
 // The zero value is not usable; call NewKernel.
-//
-// A Kernel is either sequential (NewKernel) or a facade over a sharded
-// kernel (NewShardedKernel): when sh is non-nil every method forwards
-// to the shared sharded state, tagged with the facade's home shard, and
-// the plain fields below stay nil. The sequential hot path pays one
-// nil check per call.
 type Kernel struct {
 	now     int64
 	comps   []Component
@@ -115,9 +109,6 @@ type Kernel struct {
 	incrs   []*int // deferred counter increments (see DeferIncr)
 	seq     int
 	ticks   uint64
-
-	sh    *sharded // nil for a sequential kernel
-	shard int32    // home shard of this facade; -1 = root (see shard.go)
 }
 
 // NewKernel returns an empty kernel at cycle 0.
@@ -128,9 +119,6 @@ func NewKernel() *Kernel {
 // Register adds a component and returns its id. Ids order ticking within a
 // cycle; register in a stable order for reproducible runs.
 func (k *Kernel) Register(c Component) int {
-	if k.sh != nil {
-		return k.sh.register(k.shard, c)
-	}
 	id := len(k.comps)
 	k.comps = append(k.comps, c)
 	k.pending = append(k.pending, false)
@@ -139,28 +127,18 @@ func (k *Kernel) Register(c Component) int {
 
 // Now returns the current cycle.
 func (k *Kernel) Now() int64 {
-	if k.sh != nil {
-		return k.sh.now
-	}
 	return k.now
 }
 
 // Ticks returns the total number of component ticks executed, a measure of
 // simulation work (not wall time).
 func (k *Kernel) Ticks() uint64 {
-	if k.sh != nil {
-		return k.sh.ticksTotal()
-	}
 	return k.ticks
 }
 
 // Activate schedules component id to tick on the next cycle. Safe to call
 // from inside a Tick. Duplicate activations coalesce.
 func (k *Kernel) Activate(id int) {
-	if k.sh != nil {
-		k.sh.activate(k.shard, id)
-		return
-	}
 	if !k.pending[id] {
 		k.pending[id] = true
 		k.next = append(k.next, id)
@@ -170,10 +148,6 @@ func (k *Kernel) Activate(id int) {
 // WakeAt schedules component id to tick at cycle t. If t is not in the
 // future the component is activated for the next cycle instead.
 func (k *Kernel) WakeAt(t int64, id int) {
-	if k.sh != nil {
-		k.sh.wakeAt(k.shard, t, id)
-		return
-	}
 	if t <= k.now {
 		k.Activate(id)
 		return
@@ -187,11 +161,6 @@ func (k *Kernel) WakeAt(t int64, id int) {
 // cycle. Each call captures a closure; hot paths deferring a bare counter
 // bump should use DeferIncr instead.
 func (k *Kernel) Defer(f func()) {
-	if k.sh != nil {
-		st := &k.sh.st[k.shard+1]
-		st.defers = append(st.defers, f)
-		return
-	}
 	k.defers = append(k.defers, f)
 }
 
@@ -199,19 +168,11 @@ func (k *Kernel) Defer(f func()) {
 // current cycle — the allocation-free form of Defer for credit returns
 // and similar end-of-cycle counter commits.
 func (k *Kernel) DeferIncr(ctr *int) {
-	if k.sh != nil {
-		st := &k.sh.st[k.shard+1]
-		st.incrs = append(st.incrs, ctr)
-		return
-	}
 	k.incrs = append(k.incrs, ctr)
 }
 
 // Idle reports whether no component is scheduled and no event is pending.
 func (k *Kernel) Idle() bool {
-	if k.sh != nil {
-		return k.sh.idle()
-	}
 	return len(k.next) == 0 && len(k.events) == 0
 }
 
@@ -219,9 +180,6 @@ func (k *Kernel) Idle() bool {
 // scheduled component in id order. It returns false when the kernel is
 // idle (nothing will ever run again without external scheduling).
 func (k *Kernel) Step() bool {
-	if k.sh != nil {
-		return k.sh.step()
-	}
 	if k.Idle() {
 		return false
 	}
@@ -275,45 +233,10 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// NextTime returns the next cycle at which the kernel has work: now+1 when
-// a component is scheduled for the coming cycle, otherwise the earliest
-// pending event time. ok is false when the kernel is idle.
-func (k *Kernel) NextTime() (t int64, ok bool) {
-	if k.sh != nil {
-		return k.sh.nextTime()
-	}
-	if len(k.next) > 0 {
-		return k.now + 1, true
-	}
-	return k.events.peek()
-}
-
-// RunUntil steps while the next cycle with work is <= horizon, then stops.
-// It returns true when the kernel went idle (nothing will ever run again
-// without external scheduling). Stepping in bounded horizons lets a caller
-// advance many independent kernels in lockstep windows — the fleet
-// evaluator's bulk-synchronous schedule — without perturbing per-kernel
-// event order: each kernel executes exactly the cycles Run would.
-func (k *Kernel) RunUntil(horizon int64) (idle bool) {
-	for {
-		t, ok := k.NextTime()
-		if !ok {
-			return true
-		}
-		if t > horizon {
-			return false
-		}
-		k.Step()
-	}
-}
-
 // Run steps until the kernel is idle or maxCycles cycles have elapsed.
 // It returns the number of cycles simulated and whether the kernel went
 // idle (false means the budget was exhausted first).
 func (k *Kernel) Run(maxCycles int64) (cycles int64, idle bool) {
-	if k.sh != nil {
-		return k.sh.run(maxCycles)
-	}
 	start := k.now
 	limit := start + maxCycles
 	for k.now < limit {

@@ -1,6 +1,6 @@
 // Package slab is the typed chunk allocator behind batch-construction
 // arenas (router.Arena, bank.Arena): it carves many small slices out of
-// large typed chunks so a fleet of simulations lays its state side by
+// large typed chunks so a batch of simulations lays its state side by
 // side in memory instead of scattering thousands of heap objects, and it
 // recycles those chunks across construction rounds so a long-running
 // batch stops allocating once it reaches its high-water mark.

@@ -128,92 +128,3 @@ func TestHierRejectsBadSpecs(t *testing.T) {
 		}
 	}
 }
-
-// TestPartitionHierKeepsBridgesWithEdgeColumns: the stripe planner works
-// on render coordinates, and each bridge renders at its chiplet's edge
-// mesh column — so a bridge always shards with the routers it feeds, and
-// a packet crossing chiplets pays at least one cut-link wait.
-func TestPartitionHierKeepsBridgesWithEdgeColumns(t *testing.T) {
-	topo := hierForTest()
-	for _, shards := range []int{2, 4} {
-		p := Partition(topo, shards)
-		if p.Shards != shards {
-			t.Fatalf("shards=%d: effective %d", shards, p.Shards)
-		}
-		for id, nd := range topo.Nodes {
-			if nd.Y >= 0 {
-				continue
-			}
-			// The adjacent row-0 mesh router shares the bridge's render X.
-			bx, _ := topo.RenderCoord(NodeID(id))
-			var adj NodeID = -1
-			for mid, mnd := range topo.Nodes {
-				if mnd.Y != 0 {
-					continue
-				}
-				if x, _ := topo.RenderCoord(NodeID(mid)); x == bx {
-					adj = NodeID(mid)
-					break
-				}
-			}
-			if adj < 0 {
-				t.Fatalf("bridge %d: no row-0 router at render X %d", id, bx)
-			}
-			if p.ShardOf[id] != p.ShardOf[adj] {
-				t.Errorf("shards=%d: bridge %d on shard %d, its edge router %d on shard %d",
-					shards, id, p.ShardOf[id], adj, p.ShardOf[adj])
-			}
-		}
-	}
-}
-
-// TestPartitionHierCutCoversRingHops: when a chiplet's bridge pair lands
-// on different shards, the bridge-to-bridge ring links appear in the cut
-// set and MinCutDelay — the conservative-window bound — is no larger than
-// any ring-hop delay, so the distance-2 cut wait covers the ring hop.
-func TestPartitionHierCutCoversRingHops(t *testing.T) {
-	topo := hierForTest()
-	p := Partition(topo, 2)
-	split := false
-	for id, nd := range topo.Nodes {
-		if nd.Y >= 0 {
-			continue
-		}
-		l, ok := topo.Link(NodeID(id), PortEast)
-		if !ok || topo.Nodes[l.To].Y >= 0 {
-			continue // not a bridge-to-bridge hop
-		}
-		if p.ShardOf[id] == p.ShardOf[l.To] {
-			continue
-		}
-		split = true
-		found := false
-		for _, cl := range p.CutLinks {
-			if cl.From == NodeID(id) && cl.To == l.To {
-				found = true
-				if cl.Delay < p.MinCutDelay {
-					t.Errorf("ring cut link %d->%d delay %d below MinCutDelay %d",
-						cl.From, cl.To, cl.Delay, p.MinCutDelay)
-				}
-			}
-		}
-		if !found {
-			t.Errorf("ring link %d->%d crosses shards but is missing from the cut set", id, l.To)
-		}
-	}
-	if !split {
-		t.Fatal("2-shard split of a 2-chiplet hier left every bridge pair intact; the test exercises nothing")
-	}
-	// Completeness over the whole graph, bridges included.
-	want := 0
-	for id := 0; id < topo.NumNodes(); id++ {
-		for port := 0; port < topo.NumPorts(NodeID(id)); port++ {
-			if l, ok := topo.Link(NodeID(id), port); ok && p.ShardOf[id] != p.ShardOf[l.To] {
-				want++
-			}
-		}
-	}
-	if len(p.CutLinks) != want {
-		t.Errorf("cut set has %d links, topology has %d crossing links", len(p.CutLinks), want)
-	}
-}
